@@ -345,6 +345,7 @@ func BenchmarkRRSetSampling(b *testing.B) {
 	s := rrset.NewSampler(g)
 	rng := stats.NewRNG(3)
 	var buf []NodeID
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = s.Sample(rng, buf[:0])
@@ -356,9 +357,25 @@ func BenchmarkNodeSelection(b *testing.B) {
 	col := rrset.NewCollection(g)
 	rng := stats.NewRNG(4)
 	col.Grow(20000, rng)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		col.NodeSelection(50)
+	}
+}
+
+// BenchmarkRestore reassembles a collection from its flattened storage —
+// the per-request cost of a disk-tier sketch load after decoding.
+func BenchmarkRestore(b *testing.B) {
+	g := expr.Networks[2].Generate(0.2, 4)
+	col := rrset.NewCollection(g)
+	col.Grow(20000, stats.NewRNG(4))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rrset.Restore(g, col.Members(), col.Offsets()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -24,12 +24,13 @@ func NewBuilder(n int) *Builder {
 }
 
 // AddEdge records the directed edge (u, v) with influence probability p.
-// It panics on out-of-range endpoints or probabilities outside [0, 1].
+// It panics on out-of-range endpoints or probabilities outside [0, 1]
+// (NaN included).
 func (b *Builder) AddEdge(u, v NodeID, p float64) {
 	if u < 0 || int(u) >= b.n || v < 0 || int(v) >= b.n {
 		panic(fmt.Sprintf("graph: edge (%d,%d) out of range n=%d", u, v, b.n))
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		panic(fmt.Sprintf("graph: probability %v out of [0,1]", p))
 	}
 	if u == v {

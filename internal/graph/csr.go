@@ -55,7 +55,7 @@ func FromCSR(n int, outIndex []int64, outTo []NodeID, outProb []float32) (*Graph
 			if j > lo && outTo[j-1] >= t {
 				return nil, fmt.Errorf("graph: out-edges of node %d not strictly sorted", v)
 			}
-			if p := outProb[j]; p < 0 || p > 1 {
+			if p := outProb[j]; !(p >= 0 && p <= 1) {
 				return nil, fmt.Errorf("graph: probability %v out of [0,1]", p)
 			}
 		}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -70,6 +71,36 @@ func TestBuilderPanicsOnBadInput(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestBuilderPanicsOnNaNProbability: NaN fails both range comparisons,
+// so it needs its own rejection.
+func TestBuilderPanicsOnNaNProbability(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("AddEdge accepted a NaN probability")
+		}
+	}()
+	NewBuilder(2).AddEdge(0, 1, math.NaN())
+}
+
+func TestFromCSRRejectsNaNProbability(t *testing.T) {
+	outIndex := []int64{0, 1, 1}
+	outTo := []NodeID{1}
+	if _, err := FromCSR(2, outIndex, outTo, []float32{0.5}); err != nil {
+		t.Fatalf("valid CSR rejected: %v", err)
+	}
+	if _, err := FromCSR(2, outIndex, outTo, []float32{float32(math.NaN())}); err == nil {
+		t.Error("FromCSR accepted a NaN probability")
+	}
+}
+
+func TestReadEdgeListRejectsNaNProbability(t *testing.T) {
+	for _, in := range []string{"0 1 NaN\n", "0 1 nan\n"} {
+		if _, err := ReadEdgeList(strings.NewReader(in), false); err == nil {
+			t.Errorf("input %q did not error", in)
+		}
 	}
 }
 

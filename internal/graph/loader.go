@@ -55,7 +55,7 @@ func ReadEdgeList(r io.Reader, undirected bool) (*Graph, error) {
 		p := 0.0
 		if len(fields) >= 3 {
 			p, err = strconv.ParseFloat(fields[2], 64)
-			if err != nil || p < 0 || p > 1 {
+			if err != nil || !(p >= 0 && p <= 1) {
 				return nil, fmt.Errorf("graph: line %d: bad probability %q", lineno, fields[2])
 			}
 		}

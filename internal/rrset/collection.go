@@ -14,7 +14,12 @@ import (
 // inverted node -> set index needed by NodeSelection. Sets are stored in a
 // single backing slice to keep allocation rates low.
 //
-// Concurrency: Add, Grow and Reset mutate the collection and must be
+// The index is sealed in CSR form: every grow, Restore and Reset ends by
+// merging the sets added since the last seal into fresh coverOff/coverIDs
+// arrays (a counting sort, so each node's ids stay ascending). A seal
+// never writes into arrays a reader or a Clone may hold.
+//
+// Concurrency: Grow and Reset mutate the collection and must be
 // serialized by the caller. Once growing stops, the read-only surface
 // (Len, TotalSize, Set, Covering, CoverageOf, FractionCovered,
 // NodeSelection — which allocates all of its scratch state locally) is
@@ -28,27 +33,33 @@ type Collection struct {
 	members []graph.NodeID
 	offsets []int64 // set i occupies members[offsets[i]:offsets[i+1]]
 
-	// inverted index: for each node, the ids of sets containing it
-	coverOf [][]int32
+	// sealed inverted index over the first `sealed` sets: the ids of the
+	// sets containing v are coverIDs[coverOff[v]:coverOff[v+1]], ascending
+	coverOff []int64
+	coverIDs []int32
+	sealed   int
+
+	// meanSet is the mean set size at the last seal; it outlives Reset
+	// and presizes the parallel workers' buffers.
+	meanSet float64
 
 	sampler *Sampler
 
-	// Parallel-grow state (see GrowParallelCtx): pooled per-worker
-	// samplers reused across adaptive rounds, and the width statistic
-	// accumulated by parallel workers (read/written atomically — workers
-	// add while EdgesVisited may be read for progress displays).
-	parSamplers []*Sampler
-	parEdges    int64
+	// parEdges is the width statistic accumulated by parallel workers
+	// (read/written atomically — workers add while EdgesVisited may be
+	// read for progress displays).
+	parEdges int64
 }
 
 // NewCollection returns an empty collection for g.
 func NewCollection(g *graph.Graph) *Collection {
-	return &Collection{
+	c := &Collection{
 		g:       g,
 		offsets: []int64{0},
-		coverOf: make([][]int32, g.N()),
 		sampler: NewSampler(g),
 	}
+	c.seal()
+	return c
 }
 
 // Sampler exposes the underlying sampler so callers can set a node coin.
@@ -66,10 +77,10 @@ func (c *Collection) Members() []graph.NodeID { return c.members }
 func (c *Collection) Offsets() []int64 { return c.offsets }
 
 // Restore reassembles a collection for g from flattened member storage
-// as returned by Members and Offsets, rebuilding the inverted
-// node -> set index. The inputs are validated — a malformed pair (e.g.
-// from a corrupt sketch file) returns an error rather than a collection
-// that would misbehave under NodeSelection. The slices are retained;
+// as returned by Members and Offsets, sealing the inverted node -> set
+// index in one counting sort. The inputs are validated — a malformed
+// pair (e.g. from a corrupt sketch file) returns an error rather than a
+// collection that would misbehave under NodeSelection. The slices are retained;
 // callers must not modify them afterwards. The restored collection is
 // immediately usable read-only (the sketch-cache contract); growing it
 // further is also legal.
@@ -96,14 +107,9 @@ func Restore(g *graph.Graph, members []graph.NodeID, offsets []int64) (*Collecti
 		g:       g,
 		members: members,
 		offsets: offsets,
-		coverOf: make([][]int32, n),
 		sampler: NewSampler(g),
 	}
-	for i := 0; i < c.Len(); i++ {
-		for _, v := range c.Set(i) {
-			c.coverOf[v] = append(c.coverOf[v], int32(i))
-		}
-	}
+	c.seal()
 	return c, nil
 }
 
@@ -122,15 +128,57 @@ func (c *Collection) EdgesVisited() int64 {
 	return c.sampler.EdgesVisited + atomic.LoadInt64(&c.parEdges)
 }
 
-// Add samples one more RR set.
-func (c *Collection) Add(rng *stats.RNG) {
-	start := len(c.members)
+// add samples one more RR set. The index sees it at the next seal.
+func (c *Collection) add(rng *stats.RNG) {
 	c.members = c.sampler.Sample(rng, c.members)
-	id := int32(c.Len())
-	for _, v := range c.members[start:] {
-		c.coverOf[v] = append(c.coverOf[v], id)
-	}
 	c.offsets = append(c.offsets, int64(len(c.members)))
+}
+
+// seal merges the sets added since the last seal into a fresh CSR index.
+// The previous arrays are only read, so readers and clones sharing them
+// are unaffected. A nil coverOff (Reset) rebuilds from set 0.
+func (c *Collection) seal() {
+	sets := c.Len()
+	if c.coverOff != nil && c.sealed == sets {
+		return
+	}
+	first, old, oldIDs := c.sealed, c.coverOff, c.coverIDs
+	if old == nil {
+		first = 0
+	}
+	n := c.g.N()
+	// Counting sort with the offsets shifted by one slot: v's count goes
+	// to off[v+2], so after the prefix sum off[v+1] is v's start. Writing
+	// v's ids advances off[v+1] to v's end, which is v+1's start; off[0]
+	// stays 0, so off[:n+1] is the finished offset array.
+	off := make([]int64, n+2)
+	if first > 0 {
+		for v := 0; v < n; v++ {
+			off[v+2] = old[v+1] - old[v]
+		}
+	}
+	for _, v := range c.members[c.offsets[first]:] {
+		off[v+2]++
+	}
+	for i := 2; i <= n+1; i++ {
+		off[i] += off[i-1]
+	}
+	ids := make([]int32, off[n+1])
+	if first > 0 {
+		for v := 0; v < n; v++ {
+			off[v+1] += int64(copy(ids[off[v+1]:], oldIDs[old[v]:old[v+1]]))
+		}
+	}
+	for i := first; i < sets; i++ {
+		for _, v := range c.members[c.offsets[i]:c.offsets[i+1]] {
+			ids[off[v+1]] = int32(i)
+			off[v+1]++
+		}
+	}
+	c.coverOff, c.coverIDs, c.sealed = off[:n+1], ids, sets
+	if sets > 0 {
+		c.meanSet = float64(len(c.members)) / float64(sets)
+	}
 }
 
 // Grow samples RR sets until the collection holds at least target sets.
@@ -148,13 +196,15 @@ const growChunk = 256
 // every growChunk samples it checks ctx and, when report is non-nil,
 // reports the sets sampled so far against target. It returns ctx.Err()
 // when canceled, leaving the collection with whatever it had sampled;
-// callers abandoning the build should discard the collection.
+// callers abandoning the build should discard the collection. The index
+// is sealed on every return.
 func (c *Collection) GrowCtx(ctx context.Context, target int64, rng *stats.RNG, report func(done, target int64)) error {
 	defer telemetry.StartSpan(ctx, "rrset_grow")()
 	start := int64(c.Len())
 	defer func() {
 		telemetry.AddResource(ctx, telemetry.ResRRSetsGrown, int64(c.Len())-start)
 	}()
+	defer c.seal()
 	for int64(c.Len()) < target {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -164,7 +214,7 @@ func (c *Collection) GrowCtx(ctx context.Context, target int64, rng *stats.RNG, 
 			stop = target
 		}
 		for int64(c.Len()) < stop {
-			c.Add(rng)
+			c.add(rng)
 		}
 		if report != nil {
 			report(int64(c.Len()), target)
@@ -178,18 +228,21 @@ func (c *Collection) Set(i int) []graph.NodeID {
 	return c.members[c.offsets[i]:c.offsets[i+1]]
 }
 
-// Covering returns the ids of the stored sets containing v. The slice
-// aliases internal storage and must not be modified.
-func (c *Collection) Covering(v graph.NodeID) []int32 { return c.coverOf[v] }
+// Covering returns the ids of the stored sets containing v, ascending.
+// The slice aliases internal storage and must not be modified.
+func (c *Collection) Covering(v graph.NodeID) []int32 {
+	lo, hi := c.coverOff[v], c.coverOff[v+1]
+	return c.coverIDs[lo:hi:hi]
+}
 
-// Reset drops all stored sets, keeping allocated capacity. PRIMA uses this
-// for its final from-scratch regeneration phase.
+// Reset drops all stored sets, keeping the set storage's capacity, and
+// seals an empty index. PRIMA uses this for its final from-scratch
+// regeneration phase.
 func (c *Collection) Reset() {
 	c.members = c.members[:0]
 	c.offsets = c.offsets[:1]
-	for i := range c.coverOf {
-		c.coverOf[i] = c.coverOf[i][:0]
-	}
+	c.coverOff, c.coverIDs, c.sealed = nil, nil, 0
+	c.seal()
 }
 
 // CoverageOf returns the number of sets hit by the given seed set,
@@ -198,7 +251,7 @@ func (c *Collection) Reset() {
 func (c *Collection) CoverageOf(seeds []graph.NodeID) int {
 	covered := make([]bool, c.Len())
 	for _, s := range seeds {
-		for _, id := range c.coverOf[s] {
+		for _, id := range c.Covering(s) {
 			covered[id] = true
 		}
 	}
@@ -249,7 +302,7 @@ func (c *Collection) NodeSelectionReport(k int, report func(prefix []graph.NodeI
 	}
 	deg := make([]int32, n)
 	for v := 0; v < n; v++ {
-		deg[v] = int32(len(c.coverOf[v]))
+		deg[v] = int32(c.coverOff[v+1] - c.coverOff[v])
 	}
 	setCovered := make([]bool, c.Len())
 	seeds = make([]graph.NodeID, 0, k)
@@ -275,7 +328,7 @@ func (c *Collection) NodeSelectionReport(k int, report func(prefix []graph.NodeI
 			continue
 		}
 		commit(v)
-		for _, id := range c.coverOf[v] {
+		for _, id := range c.Covering(graph.NodeID(v)) {
 			if setCovered[id] {
 				continue
 			}

@@ -26,9 +26,13 @@ import (
 //     statically assigned to worker j mod workers; each worker samples
 //     its chunks in increasing j with its one sequential stream, so
 //     chunk contents depend only on (base, w, chunk sequence);
-//   - workers sample into private buffers; after all workers finish,
-//     the chunks are merged into the collection in chunk-index order,
-//     so Members()/Offsets() are byte-identical across runs.
+//   - workers sample into private buffers, presized from the
+//     collection's mean set size; after all workers finish, members and
+//     offsets are sized once from the workers' totals and the chunks are
+//     copied in chunk-index order, so Members()/Offsets() are
+//     byte-identical across runs. The index is sealed after the merge.
+//     No worker buffer or sampler outlives the call: resident sketches
+//     keep only their sets and index.
 //
 // EdgesVisited and progress are accumulated through atomics while
 // workers run; report (when non-nil) observes a monotone done count.
@@ -77,8 +81,10 @@ func (c *Collection) GrowParallelCtx(ctx context.Context, target int64, rng *sta
 	}
 	chunks := make([]chunkSpan, numChunks)
 	outs := make([]workerOut, workers)
-
-	c.ensureParSamplers(workers)
+	mean := c.meanSet
+	if mean == 0 {
+		mean = 4
+	}
 
 	var done atomic.Int64
 	var reportMu sync.Mutex
@@ -102,10 +108,13 @@ func (c *Collection) GrowParallelCtx(ctx context.Context, target int64, rng *sta
 		go func(w int) {
 			defer wg.Done()
 			wrng := stats.NewRNG(seeds[w])
-			smp := c.parSamplers[w]
-			var buf []graph.NodeID
-			var sizes []int32
-			edgesBase := smp.EdgesVisited
+			smp := NewSampler(c.g)
+			smp.Cascade = c.sampler.Cascade
+			smp.NodeCoin = c.sampler.NodeCoin
+			sets := need/int64(workers) + growChunk
+			sizes := make([]int32, 0, sets)
+			buf := make([]graph.NodeID, 0, int(float64(sets)*mean*1.125))
+			var edgesBase int64
 			for j := w; j < numChunks; j += workers {
 				if ctx.Err() != nil {
 					break
@@ -137,21 +146,24 @@ func (c *Collection) GrowParallelCtx(ctx context.Context, target int64, rng *sta
 
 	// Merge in chunk-index order: the single mutating pass, after every
 	// worker has stopped touching its buffers.
+	var addMembers, addSets int
+	for _, o := range outs {
+		addMembers += len(o.buf)
+		addSets += len(o.sizes)
+	}
+	c.members = reserve(c.members, addMembers)
+	c.offsets = reserve(c.offsets, addSets)
 	for j := 0; j < numChunks; j++ {
 		o := &outs[j%workers]
 		sp := chunks[j]
-		pos := sp.memStart
+		c.members = append(c.members, o.buf[sp.memStart:sp.memEnd]...)
+		end := c.offsets[len(c.offsets)-1]
 		for _, sz := range o.sizes[sp.sizeStart:sp.sizeEnd] {
-			id := int32(c.Len())
-			set := o.buf[pos : pos+int(sz)]
-			c.members = append(c.members, set...)
-			for _, v := range set {
-				c.coverOf[v] = append(c.coverOf[v], id)
-			}
-			c.offsets = append(c.offsets, int64(len(c.members)))
-			pos += int(sz)
+			end += int64(sz)
+			c.offsets = append(c.offsets, end)
 		}
 	}
+	c.seal()
 	if report != nil {
 		reportMu.Lock()
 		if int64(c.Len()) > lastReported {
@@ -163,38 +175,35 @@ func (c *Collection) GrowParallelCtx(ctx context.Context, target int64, rng *sta
 	return nil
 }
 
-// ensureParSamplers sizes the pooled per-worker samplers (reused across
-// adaptive rounds) and syncs their cascade/node-coin configuration with
-// the collection's primary sampler.
-func (c *Collection) ensureParSamplers(workers int) {
-	for len(c.parSamplers) < workers {
-		c.parSamplers = append(c.parSamplers, NewSampler(c.g))
+// reserve returns s with room for n more elements, reallocating to
+// exactly len(s)+n when it must. Unlike slices.Grow it adds no growth
+// slack, which a resident sketch would otherwise carry for its lifetime.
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
 	}
-	for _, smp := range c.parSamplers[:workers] {
-		smp.Cascade = c.sampler.Cascade
-		smp.NodeCoin = c.sampler.NodeCoin
-	}
+	out := make([]T, len(s), len(s)+n)
+	copy(out, s)
+	return out
 }
 
-// Clone returns a deep copy of the collection sharing nothing mutable
-// with the original: members, offsets, and the inverted index are
-// copied, and the clone gets a fresh sampler carrying the original's
-// cascade, node coin, and cumulative width statistic. The original may
-// keep serving concurrent readers (the sketch-cache contract) while the
-// clone is grown further — the ExtendSketch seam.
+// Clone returns a copy of the collection sharing nothing mutable with
+// the original: members and offsets are copied, the sealed index arrays
+// are shared read-only (a seal on either side writes new arrays), and
+// the clone gets a fresh sampler carrying the original's cascade, node
+// coin, and cumulative width statistic. The original may keep serving
+// concurrent readers (the sketch-cache contract) while the clone is
+// grown further — the ExtendSketch seam.
 func (c *Collection) Clone() *Collection {
-	coverOf := make([][]int32, len(c.coverOf))
-	for i, ids := range c.coverOf {
-		if len(ids) > 0 {
-			coverOf[i] = append([]int32(nil), ids...)
-		}
-	}
 	nc := &Collection{
-		g:       c.g,
-		members: append([]graph.NodeID(nil), c.members...),
-		offsets: append([]int64(nil), c.offsets...),
-		coverOf: coverOf,
-		sampler: NewSampler(c.g),
+		g:        c.g,
+		members:  append([]graph.NodeID(nil), c.members...),
+		offsets:  append([]int64(nil), c.offsets...),
+		coverOff: c.coverOff,
+		coverIDs: c.coverIDs,
+		sealed:   c.sealed,
+		meanSet:  c.meanSet,
+		sampler:  NewSampler(c.g),
 	}
 	nc.sampler.Cascade = c.sampler.Cascade
 	nc.sampler.NodeCoin = c.sampler.NodeCoin

@@ -59,7 +59,6 @@ func (s *Sampler) SampleFrom(root graph.NodeID, rng *stats.RNG, dst []graph.Node
 		}
 		s.epoch = 1
 	}
-	q := s.queue[:0]
 	s.visited[root] = s.epoch
 	if s.NodeCoin != nil && !rng.Bool(s.NodeCoin(root)) {
 		// The root itself would never adopt, so no seed placement can
@@ -70,31 +69,48 @@ func (s *Sampler) SampleFrom(root graph.NodeID, rng *stats.RNG, dst []graph.Node
 	if s.Cascade == graph.CascadeLT {
 		return s.sampleLT(root, rng, dst)
 	}
-	q = append(q, root)
-	for len(q) > 0 {
-		v := q[0]
-		q = q[1:]
-		srcs, ps := s.g.InEdges(v)
-		s.EdgesVisited += int64(len(srcs))
+	return s.sampleIC(root, rng, dst)
+}
+
+// sampleIC continues an RR walk under independent cascade: a reverse BFS
+// that keeps each in-edge with its probability, and, with a NodeCoin,
+// passes each reached node with its coin. The xoshiro words stay in
+// locals for the whole walk; stats.Flip draws exactly what RNG.Bool
+// would, so the stream and the set are those of a Bool-per-coin walk.
+// The queue is walked by a head index, so it keeps its capacity.
+func (s *Sampler) sampleIC(root graph.NodeID, rng *stats.RNG, dst []graph.NodeID) []graph.NodeID {
+	st := rng.State()
+	s0, s1, s2, s3 := st[0], st[1], st[2], st[3]
+	g, visited, epoch, coin := s.g, s.visited, s.epoch, s.NodeCoin
+	var edges int64
+	var live bool
+	q := append(s.queue[:0], root)
+	for head := 0; head < len(q); head++ {
+		srcs, ps := g.InEdges(q[head])
+		ps = ps[:len(srcs)] // lets the compiler drop the ps[i] bounds check
+		edges += int64(len(srcs))
 		for i, u := range srcs {
-			if s.visited[u] == s.epoch {
+			if visited[u] == epoch {
 				continue
 			}
-			if !rng.Bool(float64(ps[i])) {
+			if live, s0, s1, s2, s3 = stats.Flip(float64(ps[i]), s0, s1, s2, s3); !live {
 				continue
 			}
-			if s.NodeCoin != nil && !rng.Bool(s.NodeCoin(u)) {
-				// The node is reached but would not itself adopt/forward;
-				// it still blocks this branch of the reverse walk.
-				s.visited[u] = s.epoch
-				continue
+			visited[u] = epoch
+			if coin != nil {
+				if live, s0, s1, s2, s3 = stats.Flip(coin(u), s0, s1, s2, s3); !live {
+					// The node is reached but would not itself adopt/forward;
+					// it still blocks this branch of the reverse walk.
+					continue
+				}
 			}
-			s.visited[u] = s.epoch
 			dst = append(dst, u)
 			q = append(q, u)
 		}
 	}
+	st[0], st[1], st[2], st[3] = s0, s1, s2, s3
 	s.queue = q[:0]
+	s.EdgesVisited += edges
 	return dst
 }
 

@@ -1,7 +1,9 @@
 package rrset
 
 import (
+	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"uicwelfare/internal/diffusion"
@@ -127,7 +129,7 @@ func TestCollectionInvertedIndex(t *testing.T) {
 	c := NewCollection(g)
 	rng := stats.NewRNG(7)
 	c.Grow(20, rng)
-	// rebuild index by scanning sets and compare with coverOf
+	// rebuild index by scanning sets and compare with Covering
 	count := make(map[graph.NodeID]int)
 	for i := 0; i < c.Len(); i++ {
 		for _, v := range c.Set(i) {
@@ -135,9 +137,52 @@ func TestCollectionInvertedIndex(t *testing.T) {
 		}
 	}
 	for v := graph.NodeID(0); int(v) < g.N(); v++ {
-		if len(c.coverOf[v]) != count[v] {
-			t.Errorf("node %d: index %d vs scan %d", v, len(c.coverOf[v]), count[v])
+		if len(c.Covering(v)) != count[v] {
+			t.Errorf("node %d: index %d vs scan %d", v, len(c.Covering(v)), count[v])
 		}
+	}
+}
+
+// TestIncrementalSealMatchesRestore: an index sealed round by round
+// (serial and parallel grows, across a Reset) equals the one Restore
+// seals in a single pass over the same sets, with every node's ids
+// ascending; a clone's seal leaves the arrays it shared untouched.
+func TestIncrementalSealMatchesRestore(t *testing.T) {
+	g := growTestGraph()
+	c := NewCollection(g)
+	rng := stats.NewRNG(17)
+	c.Grow(300, rng)
+	c.Reset()
+	for i, target := range []int64{100, 700, 1500, 4000} {
+		if i%2 == 0 {
+			c.Grow(target, rng)
+		} else if err := c.GrowParallelCtx(context.Background(), target, rng, 3, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := Restore(g, c.Members(), c.Offsets())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(c.coverOff, r.coverOff) || !slices.Equal(c.coverIDs, r.coverIDs) {
+		t.Fatal("incrementally sealed index differs from Restore's")
+	}
+	for v := graph.NodeID(0); int(v) < g.N(); v++ {
+		if !slices.IsSorted(c.Covering(v)) {
+			t.Fatalf("node %d: ids not ascending: %v", v, c.Covering(v))
+		}
+	}
+
+	offBefore, idsBefore := slices.Clone(c.coverOff), slices.Clone(c.coverIDs)
+	cl := c.Clone()
+	if err := cl.GrowParallelCtx(context.Background(), 6000, rng, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(c.coverOff, offBefore) || !slices.Equal(c.coverIDs, idsBefore) {
+		t.Fatal("sealing a clone changed the original's index arrays")
+	}
+	if len(cl.Covering(0)) < len(c.Covering(0)) {
+		t.Fatal("clone's index lost sets")
 	}
 }
 
@@ -228,7 +273,7 @@ func TestNodeSelectionGreedyIsExactGreedy(t *testing.T) {
 		bestGain, best := -1, graph.NodeID(-1)
 		for v := graph.NodeID(0); int(v) < g.N(); v++ {
 			gain := 0
-			for _, id := range c.coverOf[v] {
+			for _, id := range c.Covering(v) {
 				if !covered[id] {
 					gain++
 				}
@@ -238,7 +283,7 @@ func TestNodeSelectionGreedyIsExactGreedy(t *testing.T) {
 			}
 		}
 		naive = append(naive, best)
-		for _, id := range c.coverOf[best] {
+		for _, id := range c.Covering(best) {
 			covered[id] = true
 		}
 	}

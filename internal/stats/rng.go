@@ -4,7 +4,10 @@
 // Monte-Carlo estimators.
 package stats
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a seedable xoshiro256++ pseudo-random generator. It is not safe
 // for concurrent use; estimators that shard work across goroutines derive
@@ -94,6 +97,33 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	lo = a * b
 	hi = a1*b1 + t>>32 + (t&mask32+a0*b1)>>32
 	return
+}
+
+// State exposes the generator's xoshiro256++ words so a hot loop can
+// load them into locals, step them with Flip, and store them back. The
+// stream continues exactly as if the loop had called Bool on r.
+func (r *RNG) State() *[4]uint64 { return &r.s }
+
+// Flip is Bool on an unpacked state: it returns the coin and the advanced
+// words. Like Bool it draws nothing when p <= 0 (false) or p >= 1 (true)
+// and otherwise draws one Float64 and compares it with p. It is small
+// enough to inline, so the words stay in registers across a loop.
+func Flip(p float64, s0, s1, s2, s3 uint64) (bool, uint64, uint64, uint64, uint64) {
+	if p <= 0 {
+		return false, s0, s1, s2, s3
+	}
+	if p >= 1 {
+		return true, s0, s1, s2, s3
+	}
+	x := bits.RotateLeft64(s0+s3, 23) + s0
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = bits.RotateLeft64(s3, 45)
+	return float64(x>>11)*(1.0/(1<<53)) < p, s0, s1, s2, s3
 }
 
 // Bool returns true with probability p.

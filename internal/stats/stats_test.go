@@ -105,6 +105,47 @@ func TestBoolEdgeCases(t *testing.T) {
 	}
 }
 
+// TestFlipStepMatchesUint64: a fractional Flip advances the unpacked
+// state exactly as one Uint64 call does, over a long stream.
+func TestFlipStepMatchesUint64(t *testing.T) {
+	ref, r := NewRNG(77), NewRNG(77)
+	st := r.State()
+	s0, s1, s2, s3 := st[0], st[1], st[2], st[3]
+	for i := 0; i < 1<<20; i++ {
+		ref.Uint64()
+		_, s0, s1, s2, s3 = Flip(0.5, s0, s1, s2, s3)
+		if [4]uint64{s0, s1, s2, s3} != ref.s {
+			t.Fatalf("state diverges from Uint64 at step %d", i)
+		}
+	}
+	st[0], st[1], st[2], st[3] = s0, s1, s2, s3
+	if r.Uint64() != ref.Uint64() {
+		t.Fatal("stream after storing the state back diverges")
+	}
+}
+
+// TestFlipMatchesBool: Flip returns Bool's coin and consumes Bool's draws
+// for every probability, including the no-draw edges and NaN.
+func TestFlipMatchesBool(t *testing.T) {
+	ps := []float64{0, -0.5, 1, 1.5, 0.3, 1e-9, 0.999999, math.NaN(), math.Inf(1), math.Inf(-1), 0.5}
+	ref, r := NewRNG(5), NewRNG(5)
+	st := r.State()
+	s0, s1, s2, s3 := st[0], st[1], st[2], st[3]
+	for i := 0; i < 200000; i++ {
+		p := ps[i%len(ps)]
+		if i%3 == 0 {
+			p = ref.Float64() // a fresh fractional p; mirror the draw
+			_, s0, s1, s2, s3 = Flip(0.5, s0, s1, s2, s3)
+		}
+		want := ref.Bool(p)
+		var got bool
+		got, s0, s1, s2, s3 = Flip(p, s0, s1, s2, s3)
+		if got != want || [4]uint64{s0, s1, s2, s3} != ref.s {
+			t.Fatalf("step %d p=%v: Flip %v, Bool %v (states equal: %v)", i, p, got, want, [4]uint64{s0, s1, s2, s3} == ref.s)
+		}
+	}
+}
+
 func TestBoolFrequency(t *testing.T) {
 	r := NewRNG(9)
 	const p, runs = 0.3, 100000

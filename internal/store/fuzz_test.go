@@ -2,7 +2,10 @@ package store_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math"
 	"testing"
 
 	"uicwelfare/internal/graph"
@@ -47,6 +50,35 @@ func mutations(valid []byte) [][]byte {
 	return out
 }
 
+// nanGraphFrame forges a .wmg frame whose one edge probability is NaN
+// under a valid checksum: the frame passes every framing check, so only
+// the decoder's probability validation can reject it.
+func nanGraphFrame(tb testing.TB) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	g := graph.FromEdges(3, [][3]float64{{0, 1, 0.375}, {1, 2, 0.5}})
+	if err := store.EncodeGraph(&buf, "nan", g); err != nil {
+		tb.Fatal(err)
+	}
+	frame := buf.Bytes()
+	payload := frame[20 : len(frame)-4]
+	var want [4]byte
+	binary.LittleEndian.PutUint32(want[:], math.Float32bits(0.375))
+	at := bytes.Index(payload, want[:])
+	if at < 0 {
+		tb.Fatal("probability bytes not found in the encoded payload")
+	}
+	binary.LittleEndian.PutUint32(payload[at:], math.Float32bits(float32(math.NaN())))
+	binary.LittleEndian.PutUint32(frame[len(frame)-4:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return frame
+}
+
+func TestDecodeGraphRejectsNaNProbability(t *testing.T) {
+	if _, _, err := store.DecodeGraph(bytes.NewReader(nanGraphFrame(t))); !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("NaN probability: err = %v, want ErrCorrupt", err)
+	}
+}
+
 func FuzzDecodeGraph(f *testing.F) {
 	var buf bytes.Buffer
 	if err := store.EncodeGraph(&buf, "fuzz-seed", fuzzGraph()); err != nil {
@@ -55,6 +87,7 @@ func FuzzDecodeGraph(f *testing.F) {
 	for _, seed := range mutations(buf.Bytes()) {
 		f.Add(seed)
 	}
+	f.Add(nanGraphFrame(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		name, g, err := store.DecodeGraph(bytes.NewReader(data))
 		if err != nil {
