@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"uicwelfare/internal/journal"
+	"uicwelfare/internal/seglog"
 	"uicwelfare/internal/service"
 	"uicwelfare/internal/store"
 	"uicwelfare/internal/telemetry"
@@ -62,12 +63,10 @@ type Options struct {
 	// trace fragments retained for GET /v1/traces); 0 uses the
 	// tracestore default. TraceMB caps its on-disk spill under SpillDir
 	// in MiB; TraceSample is the tail-sampling keep probability for fast
-	// successful traces (errored ones are always kept). TraceSampleAll
-	// forces the sample rate to 1 (tests).
-	TraceRing      int
-	TraceMB        int
-	TraceSample    float64
-	TraceSampleAll bool
+	// successful traces (errored ones are always kept).
+	TraceRing   int
+	TraceMB     int
+	TraceSample float64
 	// Client is the HTTP client for probes and proxying (default: a
 	// plain &http.Client{}; timeouts come from request contexts).
 	Client *http.Client
@@ -206,7 +205,6 @@ func New(opts Options) (*Router, error) {
 		Node:       "router",
 		RingSize:   opts.TraceRing,
 		SampleRate: opts.TraceSample,
-		SampleAll:  opts.TraceSampleAll,
 		Dir:        filepath.Join(spillDir, "traces"),
 		MaxBytes:   int64(opts.TraceMB) << 20,
 	})
@@ -301,24 +299,11 @@ func (r *Router) spillPath(id string) string {
 // the export from a live holder (fetchWMG), and adopt re-tries the spill
 // while one still exports the graph.
 func (r *Router) saveWMG(id string, wmg []byte) bool {
-	tmp, err := os.CreateTemp(r.spillDir, id+".*.tmp")
+	err := seglog.WriteAtomic(r.spillPath(id), func(f *os.File) error {
+		_, err := f.Write(wmg)
+		return err
+	})
 	if err != nil {
-		log.Printf("cluster: spill %s: %v", id, err)
-		return false
-	}
-	if _, err := tmp.Write(wmg); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		log.Printf("cluster: spill %s: %v", id, err)
-		return false
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		log.Printf("cluster: spill %s: %v", id, err)
-		return false
-	}
-	if err := os.Rename(tmp.Name(), r.spillPath(id)); err != nil {
-		os.Remove(tmp.Name())
 		log.Printf("cluster: spill %s: %v", id, err)
 		return false
 	}

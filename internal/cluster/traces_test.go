@@ -17,14 +17,14 @@ import (
 // and the tree's resource totals match the flat accounting on the job
 // view. This is the waterfall the whole trace pipeline exists to serve.
 func TestCrossTierSpanAssembly(t *testing.T) {
-	svcOpts := service.Options{TraceSampleAll: true}
+	svcOpts := service.Options{TraceSample: 1}
 	backends := []*backend{
 		startBackendAt(t, "b0", "127.0.0.1:0", svcOpts),
 		startBackendAt(t, "b1", "127.0.0.1:0", svcOpts),
 	}
 	rt, c := newCluster(t, backends, cluster.Options{
 		ProbeInterval: time.Hour, ProxyTimeout: 10 * time.Second,
-		TraceSampleAll: true,
+		TraceSample: 1,
 	})
 	defer rt.Close()
 	rt.Sync(syncCtx())

@@ -227,3 +227,66 @@ func TestConcurrentRecord(t *testing.T) {
 		}
 	}
 }
+
+// TestRestartKeepsPreviousSegments reopens a journal over the same
+// directory. Sequence numbers restart at 1 on every boot, so segment
+// names must not derive from them alone: the second run's first seal
+// must not replace the first run's segment, and name order must stay
+// chronological across the two runs.
+func TestRestartKeepsPreviousSegments(t *testing.T) {
+	dir := t.TempDir()
+	var want []string
+	for run, n := range []int{5, 3} {
+		r, err := New(Options{Dir: dir, FlushInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			job := fmt.Sprintf("run%d-%d", run, i)
+			r.Record(Event{Type: JobReplay, Job: job})
+			want = append(want, job)
+		}
+		r.Close()
+	}
+	matches, _ := filepath.Glob(filepath.Join(dir, "*"+SegmentExt)) // sorted by name
+	var got []string
+	for _, m := range matches {
+		events, err := ReadSegment(m)
+		if err != nil {
+			t.Fatalf("ReadSegment(%s): %v", m, err)
+		}
+		for _, e := range events {
+			got = append(got, e.Job)
+		}
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("segments in name order hold %v, want %v", got, want)
+	}
+}
+
+// TestReadSegmentKeepsLongLines spills an event whose JSON line is
+// longer than any line-scanner default: the checksummed payload must
+// decode whole, not stop silently at the long line.
+func TestReadSegmentKeepsLongLines(t *testing.T) {
+	dir := t.TempDir()
+	r, err := New(Options{Dir: dir, SegmentBytes: 8 << 20, FlushInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("r", 2<<20)
+	r.Record(Event{Type: AdmissionReject, Job: "a"})
+	r.Record(Event{Type: AdmissionReject, Job: "b", Reason: long})
+	r.Record(Event{Type: AdmissionReject, Job: "c"})
+	r.Close()
+	matches, _ := filepath.Glob(filepath.Join(dir, "*"+SegmentExt))
+	if len(matches) != 1 {
+		t.Fatalf("want 1 segment, got %d", len(matches))
+	}
+	events, err := ReadSegment(matches[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 3 || events[1].Reason != long || events[2].Job != "c" {
+		t.Fatalf("segment decoded to %d events, want a, b (2 MiB reason), c", len(events))
+	}
+}

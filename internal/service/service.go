@@ -143,10 +143,6 @@ type Options struct {
 	// always kept — tail sampling). Zero keeps only the always-kept
 	// classes; 1 keeps everything.
 	TraceSample float64
-	// TraceSampleAll forces TraceSample to 1 (tests and single-node
-	// debugging; the zero-value Options otherwise samples out every
-	// fast success).
-	TraceSampleAll bool
 }
 
 // Service owns the daemon's state: the graph registry, the RR-sketch
@@ -316,7 +312,6 @@ func New(opts Options) (*Service, error) {
 			Node:       opts.NodeID,
 			RingSize:   opts.TraceRing,
 			SampleRate: opts.TraceSample,
-			SampleAll:  opts.TraceSampleAll,
 			Dir:        traceDir,
 			MaxBytes:   int64(opts.TraceMB) << 20,
 		})

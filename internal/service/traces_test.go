@@ -52,7 +52,7 @@ func tracedAllocate(t *testing.T, e *env, graphID, traceID string) service.JobVi
 // request triggered are retrievable via GET /v1/events?trace=.
 func TestTracesEndpoint(t *testing.T) {
 	e := newEnv(t, service.Options{
-		Workers: 2, TraceSampleAll: true, BatchWindow: 5 * time.Millisecond,
+		Workers: 2, TraceSample: 1, BatchWindow: 5 * time.Millisecond,
 	})
 	id := e.registerGraph(t)
 	const traceID = "trace-store-e2e-1"

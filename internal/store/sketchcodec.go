@@ -8,6 +8,7 @@ import (
 	"uicwelfare/internal/imm"
 	"uicwelfare/internal/prima"
 	"uicwelfare/internal/rrset"
+	"uicwelfare/internal/seglog"
 )
 
 // Sketch family tags in the .wms payload.
@@ -27,7 +28,7 @@ func EncodeSketch(w io.Writer, sketch any) error {
 	if err := encodeSketchPayload(&p, sketch); err != nil {
 		return err
 	}
-	return writeFrame(w, SketchMagic, p.buf.Bytes())
+	return seglog.WriteFrame(w, SketchMagic, Version, p.buf.Bytes())
 }
 
 // encodeSketchPayload packs the frame body shared by the .wms codec and
@@ -62,7 +63,7 @@ func encodeSketchPayload(p *payloadWriter, sketch any) error {
 // pairing the right graph — the store does so by keying sketch files
 // under the graph's content id.
 func DecodeSketch(r io.Reader, g *graph.Graph) (any, error) {
-	payload, err := readFrame(r, SketchMagic)
+	payload, err := seglog.ReadFrame(r, SketchMagic, Version, maxPayload)
 	if err != nil {
 		return nil, err
 	}

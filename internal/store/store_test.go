@@ -14,6 +14,7 @@ import (
 	"uicwelfare/internal/graph"
 	"uicwelfare/internal/imm"
 	"uicwelfare/internal/prima"
+	"uicwelfare/internal/seglog"
 	"uicwelfare/internal/stats"
 )
 
@@ -290,7 +291,7 @@ func TestDecodeSketchForgedSizeOverflow(t *testing.T) {
 	p.uvarint(1)          // one set
 	p.uvarint(1<<63 + 42) // forged huge size
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, SketchMagic, p.buf.Bytes()); err != nil {
+	if err := seglog.WriteFrame(&buf, SketchMagic, Version, p.buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := DecodeSketch(&buf, g); !errors.Is(err, ErrCorrupt) {
@@ -492,7 +493,7 @@ func TestLoadGraphFileSniffsFormats(t *testing.T) {
 	}
 }
 
-// TestReadFrameForgedLengthDoesNotPreallocate feeds readFrame a tiny
+// TestReadFrameForgedLengthDoesNotPreallocate feeds ReadFrame a tiny
 // body whose header declares a near-maxPayload length — the shape of a
 // remote-OOM attempt against the HTTP import endpoints. The read must
 // fail as truncated after consuming the real bytes, without committing
@@ -510,13 +511,13 @@ func TestReadFrameForgedLengthDoesNotPreallocate(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	_, err := readFrame(bytes.NewReader(frame.Bytes()), GraphMagic)
+	_, err := seglog.ReadFrame(bytes.NewReader(frame.Bytes()), GraphMagic, Version, maxPayload)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err = %v, want ErrTruncated", err)
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
-		t.Errorf("readFrame allocated %d bytes for a 10-byte body declaring 3 GiB", grew)
+		t.Errorf("ReadFrame allocated %d bytes for a 10-byte body declaring 3 GiB", grew)
 	}
 
 	// A declared length over the format bound is still rejected outright.
@@ -526,7 +527,7 @@ func TestReadFrameForgedLengthDoesNotPreallocate(t *testing.T) {
 	frame.Write(word[:4])
 	binary.LittleEndian.PutUint64(word[:], uint64(5<<30))
 	frame.Write(word[:])
-	if _, err := readFrame(bytes.NewReader(frame.Bytes()), GraphMagic); !errors.Is(err, ErrCorrupt) {
+	if _, err := seglog.ReadFrame(bytes.NewReader(frame.Bytes()), GraphMagic, Version, maxPayload); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("oversized declared payload: err = %v, want ErrCorrupt", err)
 	}
 }

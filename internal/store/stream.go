@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"uicwelfare/internal/graph"
+	"uicwelfare/internal/seglog"
 )
 
 // SketchStreamMagic opens each entry of a sketch-stream container: the
@@ -28,7 +29,7 @@ func WriteSketchStreamEntry(w io.Writer, key string, sketch any) error {
 	if err := encodeSketchPayload(&p, sketch); err != nil {
 		return err
 	}
-	return writeFrame(w, SketchStreamMagic, p.buf.Bytes())
+	return seglog.WriteFrame(w, SketchStreamMagic, Version, p.buf.Bytes())
 }
 
 // ReadSketchStream decodes entries from a sketch stream until EOF,
@@ -45,7 +46,7 @@ func ReadSketchStream(r io.Reader, g *graph.Graph, fn func(key string, sketch an
 		} else if err != nil {
 			return n, err
 		}
-		payload, err := readFrame(br, SketchStreamMagic)
+		payload, err := seglog.ReadFrame(br, SketchStreamMagic, Version, maxPayload)
 		if err != nil {
 			return n, err
 		}

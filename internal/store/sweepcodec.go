@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sort"
 	"time"
+
+	"uicwelfare/internal/seglog"
 )
 
 // SweepExt is the sweep-result artifact format written under
@@ -121,12 +123,12 @@ func encodeSweepPayload(res *SweepResult) []byte {
 
 // EncodeSweepResult writes the artifact as one framed .wsr payload.
 func EncodeSweepResult(w io.Writer, res *SweepResult) error {
-	return writeFrame(w, SweepMagic, encodeSweepPayload(res))
+	return seglog.WriteFrame(w, SweepMagic, Version, encodeSweepPayload(res))
 }
 
 // DecodeSweepResult reads and verifies one .wsr artifact.
 func DecodeSweepResult(r io.Reader) (*SweepResult, error) {
-	payload, err := readFrame(r, SweepMagic)
+	payload, err := seglog.ReadFrame(r, SweepMagic, Version, maxPayload)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +263,7 @@ func (s *Store) SaveSweep(res *SweepResult) (string, error) {
 	if _, err := os.Stat(path); err == nil {
 		return id, nil
 	}
-	if err := writeAtomic(path, func(f *os.File) error {
+	if err := seglog.WriteAtomic(path, func(f *os.File) error {
 		return EncodeSweepResult(f, res)
 	}); err != nil {
 		s.spillErrors.Add(1)
@@ -333,7 +335,7 @@ func SaveSweepFile(dir string, res *SweepResult) (string, error) {
 		return "", err
 	}
 	id := SweepResultID(res)
-	err := writeAtomic(filepath.Join(dir, id+SweepExt), func(f *os.File) error {
+	err := seglog.WriteAtomic(filepath.Join(dir, id+SweepExt), func(f *os.File) error {
 		return EncodeSweepResult(f, res)
 	})
 	return id, err

@@ -8,7 +8,8 @@
 // single mutex (Add is called at request completion, so it does O(1)
 // work and never blocks) and are asynchronously spilled as JSONL
 // payloads inside CRC-framed segment files under <data-dir>/traces,
-// with the journal's size-budgeted oldest-first rotation. Admission is
+// with size-budgeted oldest-first rotation — ring, spill, and segment
+// format are internal/seglog's, shared with the journal. Admission is
 // tail-sampled: every trace that was slow, errored, or queued by
 // admission control is kept, and fast successes are kept with a
 // configurable probability — the interesting traces survive without
@@ -16,14 +17,7 @@
 package tracestore
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -33,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"uicwelfare/internal/seglog"
 	"uicwelfare/internal/telemetry"
 )
 
@@ -83,45 +78,31 @@ func (r Record) Summary() Record {
 	return r
 }
 
-// Segment file framing, mirroring the journal codec: magic, version,
-// payload length, JSONL payload, CRC-32C — every field verified on
-// read, corrupt segments rejected with typed errors.
+// SegmentMagic and SegmentExt frame and name the .wmt trace segments
+// (internal/seglog owns the format).
 const (
-	// SegmentMagic opens a .wmt trace segment.
 	SegmentMagic = "WMTRCE\x00\x00"
-	// SegmentVersion is the current segment format version.
-	SegmentVersion = 1
-	// SegmentExt is the trace segment file extension.
-	SegmentExt = ".wmt"
-
-	// maxSegmentPayload bounds a declared payload length so a corrupt
-	// header cannot force an absurd allocation.
-	maxSegmentPayload = 1 << 30
+	SegmentExt   = ".wmt"
 )
 
-var (
-	// ErrBadSegment reports an unreadable segment (wrong magic or
-	// version, truncated, or failed checksum).
-	ErrBadSegment = errors.New("tracestore: bad segment")
-
-	castagnoli = crc32.MakeTable(crc32.Castagnoli)
-)
+// ErrBadSegment reports an unreadable segment (wrong magic or version,
+// truncated, or failed checksum).
+var ErrBadSegment = seglog.ErrBadSegment
 
 // Options configures a Store. The zero value is usable: an
-// in-memory-only store (no Dir, no spill) that keeps every trace.
+// in-memory-only store (no Dir, no spill) that keeps only the traces
+// tail sampling always keeps (slow, errored, queued); set SampleRate to
+// keep fast successes too.
 type Options struct {
 	// Node stamps every record (e.g. "b0", "router").
 	Node string
 	// RingSize bounds the in-memory ring (default 512 traces).
 	RingSize int
 	// SampleRate is the probability of keeping a trace that is neither
-	// slow nor errored nor queued, clamped to [0, 1]. Negative keeps
-	// none of them; the default (0 on the zero value) is rescued to 1
-	// by SampleAll for tests — welmaxd passes -trace-sample.
+	// slow nor errored nor queued, clamped to [0, 1]: 0 (the zero value)
+	// or negative keeps none of them, 1 keeps all — welmaxd passes
+	// -trace-sample.
 	SampleRate float64
-	// SampleAll forces SampleRate 1 (keep everything); the zero-value
-	// Options then keeps every trace rather than silently none.
-	SampleAll bool
 	// Dir enables async segment spill when non-empty (callers pass
 	// <data-dir>/traces).
 	Dir string
@@ -144,44 +125,21 @@ type Stats struct {
 	Offered    int64 `json:"offered"`
 	Kept       int64 `json:"kept"`
 	SampledOut int64 `json:"sampled_out"`
-	// Dropped counts records whose disk spill was dropped because the
-	// spill channel was full (the ring still saw them).
-	Dropped int64 `json:"dropped"`
-	RingLen int   `json:"ring_len"`
-	RingCap int   `json:"ring_cap"`
-	// Segments counts segment files sealed; SpillErrors counts failed
-	// segment writes.
-	Segments    int64 `json:"segments"`
-	SpillErrors int64 `json:"spill_errors"`
+	seglog.Stats
 }
 
 // Store holds the bounded trace ring and the optional disk spill.
 type Store struct {
 	node   string
 	sample float64
+	log    *seglog.Log[Record]
+	dir    string
 
-	mu   sync.Mutex
-	buf  []Record // ring storage, len(buf) == capacity
-	head int      // index of the oldest record
-	n    int      // records currently in the ring
-	next uint64   // next sequence number (first record gets 1)
-	rng  *rand.Rand
+	rngMu sync.Mutex
+	rng   *rand.Rand
 
-	offered     atomic.Int64
-	kept        atomic.Int64
-	sampledOut  atomic.Int64
-	dropped     atomic.Int64
-	segments    atomic.Int64
-	spillErrors atomic.Int64
-
-	// Spill state (nil/zero when Dir is unset).
-	spill      chan Record
-	dir        string
-	segBytes   int64
-	maxBytes   int64
-	flushEvery time.Duration
-	stop       chan struct{}
-	done       chan struct{}
+	offered    atomic.Int64
+	sampledOut atomic.Int64
 }
 
 // New creates a Store. When opts.Dir is set the directory is created
@@ -192,46 +150,29 @@ func New(opts Options) (*Store, error) {
 	if size <= 0 {
 		size = 512
 	}
-	sample := opts.SampleRate
-	if opts.SampleAll {
-		sample = 1
+	ring, err := seglog.New(seglog.Config{
+		RingSize:      size,
+		DefaultLimit:  DefaultLimit,
+		MaxLimit:      MaxLimit,
+		Dir:           opts.Dir,
+		Name:          "traces",
+		Magic:         SegmentMagic,
+		Ext:           SegmentExt,
+		SpillBuffer:   256, // traces are larger and fewer than journal events
+		SegmentBytes:  opts.SegmentBytes,
+		MaxBytes:      opts.MaxBytes,
+		FlushInterval: opts.FlushInterval,
+	}, func(r *Record) *uint64 { return &r.Seq })
+	if err != nil {
+		return nil, fmt.Errorf("tracestore: %w", err)
 	}
-	if sample < 0 {
-		sample = 0
-	}
-	if sample > 1 {
-		sample = 1
-	}
-	s := &Store{
+	return &Store{
 		node:   opts.Node,
-		sample: sample,
-		buf:    make([]Record, size),
-		next:   1,
+		sample: min(max(opts.SampleRate, 0), 1),
+		log:    ring,
+		dir:    opts.Dir,
 		rng:    rand.New(rand.NewSource(time.Now().UnixNano())),
-	}
-	if opts.Dir != "" {
-		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("tracestore: %w", err)
-		}
-		s.dir = opts.Dir
-		s.segBytes = opts.SegmentBytes
-		if s.segBytes <= 0 {
-			s.segBytes = 256 << 10
-		}
-		s.maxBytes = opts.MaxBytes
-		if s.maxBytes <= 0 {
-			s.maxBytes = 32 << 20
-		}
-		s.flushEvery = opts.FlushInterval
-		if s.flushEvery <= 0 {
-			s.flushEvery = 5 * time.Second
-		}
-		s.spill = make(chan Record, 256)
-		s.stop = make(chan struct{})
-		s.done = make(chan struct{})
-		go s.spillLoop()
-	}
-	return s, nil
+	}, nil
 }
 
 // Add offers one completed trace to the store. Tail sampling decides
@@ -258,35 +199,16 @@ func (s *Store) Add(rec Record) bool {
 	case rec.Queued:
 		rec.Kept = KeptQueued
 	default:
-		s.mu.Lock()
+		s.rngMu.Lock()
 		keep := s.rng.Float64() < s.sample
-		s.mu.Unlock()
+		s.rngMu.Unlock()
 		if !keep {
 			s.sampledOut.Add(1)
 			return false
 		}
 		rec.Kept = KeptSampled
 	}
-	s.mu.Lock()
-	rec.Seq = s.next
-	s.next++
-	if s.n < len(s.buf) {
-		s.buf[(s.head+s.n)%len(s.buf)] = rec
-		s.n++
-	} else {
-		s.buf[s.head] = rec
-		s.head = (s.head + 1) % len(s.buf)
-	}
-	s.mu.Unlock()
-	s.kept.Add(1)
-
-	if s.spill != nil {
-		select {
-		case s.spill <- rec:
-		default:
-			s.dropped.Add(1)
-		}
-	}
+	s.log.Append(rec)
 	return true
 }
 
@@ -338,31 +260,12 @@ func (q Query) Match(r Record) bool {
 // pagination advances past filtered spans of the ring too. next equals
 // q.After when nothing new was examined.
 func (s *Store) Traces(q Query) (records []Record, next uint64) {
-	limit := q.Limit
-	if limit <= 0 {
-		limit = DefaultLimit
-	}
-	if limit > MaxLimit {
-		limit = MaxLimit
-	}
 	if s == nil {
 		return nil, q.After
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	next = q.After
-	for i := 0; i < s.n; i++ {
-		r := s.buf[(s.head+i)%len(s.buf)]
-		if r.Seq <= q.After {
-			continue
-		}
-		next = r.Seq
-		if q.Match(r) {
-			records = append(records, r.Summary())
-			if len(records) >= limit {
-				break
-			}
-		}
+	records, next = s.log.Page(q.After, q.Limit, q.Match)
+	for i := range records {
+		records[i] = records[i].Summary()
 	}
 	return records, next
 }
@@ -375,15 +278,9 @@ func (s *Store) Get(id string) (Record, bool) {
 	if s == nil || id == "" {
 		return Record{}, false
 	}
-	s.mu.Lock()
-	for i := s.n - 1; i >= 0; i-- {
-		r := s.buf[(s.head+i)%len(s.buf)]
-		if r.TraceID == id {
-			s.mu.Unlock()
-			return r, true
-		}
+	if rec, ok := s.log.Find(func(r Record) bool { return r.TraceID == id }); ok {
+		return rec, true
 	}
-	s.mu.Unlock()
 	if s.dir == "" {
 		return Record{}, false
 	}
@@ -402,8 +299,7 @@ func (s *Store) getFromDisk(id string) (Record, bool) {
 			names = append(names, e.Name())
 		}
 	}
-	// Segment names embed the first record's sequence number in hex, so
-	// lexical order is chronological; scan newest first.
+	// Segment names sort chronologically (see seglog); scan newest first.
 	sort.Sort(sort.Reverse(sort.StringSlice(names)))
 	for _, name := range names {
 		recs, err := ReadSegment(filepath.Join(s.dir, name))
@@ -425,9 +321,7 @@ func (s *Store) LastSeq() uint64 {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.next - 1
+	return s.log.LastSeq()
 }
 
 // Stats snapshots the store's counters. A nil store reports zeros.
@@ -435,18 +329,11 @@ func (s *Store) Stats() Stats {
 	if s == nil {
 		return Stats{}
 	}
-	s.mu.Lock()
-	n, size := s.n, len(s.buf)
-	s.mu.Unlock()
 	return Stats{
-		Offered:     s.offered.Load(),
-		Kept:        s.kept.Load(),
-		SampledOut:  s.sampledOut.Load(),
-		Dropped:     s.dropped.Load(),
-		RingLen:     n,
-		RingCap:     size,
-		Segments:    s.segments.Load(),
-		SpillErrors: s.spillErrors.Load(),
+		Offered:    s.offered.Load(),
+		Kept:       int64(s.log.LastSeq()),
+		SampledOut: s.sampledOut.Load(),
+		Stats:      s.log.Stats(),
 	}
 }
 
@@ -454,222 +341,13 @@ func (s *Store) Stats() Stats {
 // The ring remains queryable. Close is a no-op for in-memory stores
 // and idempotent otherwise.
 func (s *Store) Close() {
-	if s == nil || s.stop == nil {
-		return
+	if s != nil {
+		s.log.Close()
 	}
-	select {
-	case <-s.stop:
-		return // already closed
-	default:
-	}
-	close(s.stop)
-	<-s.done
-}
-
-// spillLoop drains the spill channel into a pending JSONL buffer and
-// seals it into a segment file when it reaches the size threshold, on
-// the flush ticker, and at shutdown.
-func (s *Store) spillLoop() {
-	defer close(s.done)
-	var pending bytes.Buffer
-	var firstSeq uint64
-	ticker := time.NewTicker(s.flushEvery)
-	defer ticker.Stop()
-
-	add := func(r Record) {
-		line, err := json.Marshal(r)
-		if err != nil {
-			return
-		}
-		if pending.Len() == 0 {
-			firstSeq = r.Seq
-		}
-		pending.Write(line)
-		pending.WriteByte('\n')
-		if int64(pending.Len()) >= s.segBytes {
-			s.seal(&pending, firstSeq)
-		}
-	}
-
-	for {
-		select {
-		case r := <-s.spill:
-			add(r)
-		case <-ticker.C:
-			if pending.Len() > 0 {
-				s.seal(&pending, firstSeq)
-			}
-		case <-s.stop:
-			for {
-				select {
-				case r := <-s.spill:
-					add(r)
-					continue
-				default:
-				}
-				break
-			}
-			if pending.Len() > 0 {
-				s.seal(&pending, firstSeq)
-			}
-			return
-		}
-	}
-}
-
-// seal writes the pending JSONL buffer as one CRC-framed segment file
-// (temp + rename, like every store artifact) and enforces the byte
-// budget. The buffer is reset either way: a failed write is counted
-// and dropped, never retried into an ever-growing buffer.
-func (s *Store) seal(pending *bytes.Buffer, firstSeq uint64) {
-	payload := pending.Bytes()
-	path := filepath.Join(s.dir, fmt.Sprintf("traces-%016x%s", firstSeq, SegmentExt))
-	err := func() error {
-		tmp, err := os.CreateTemp(s.dir, ".tmp-*")
-		if err != nil {
-			return err
-		}
-		defer os.Remove(tmp.Name())
-		if err := writeSegmentFrame(tmp, payload); err != nil {
-			tmp.Close()
-			return err
-		}
-		if err := tmp.Close(); err != nil {
-			return err
-		}
-		return os.Rename(tmp.Name(), path)
-	}()
-	pending.Reset()
-	if err != nil {
-		s.spillErrors.Add(1)
-		return
-	}
-	s.segments.Add(1)
-	s.enforceBudget()
-}
-
-// enforceBudget deletes the oldest segment files until the trace
-// directory fits the byte budget.
-func (s *Store) enforceBudget() {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	type file struct {
-		path  string
-		size  int64
-		mtime int64
-	}
-	var files []file
-	var total int64
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), SegmentExt) {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		files = append(files, file{
-			path:  filepath.Join(s.dir, e.Name()),
-			size:  info.Size(),
-			mtime: info.ModTime().UnixNano(),
-		})
-		total += info.Size()
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mtime < files[j].mtime })
-	for _, f := range files {
-		if total <= s.maxBytes {
-			return
-		}
-		if os.Remove(f.path) == nil {
-			total -= f.size
-		}
-	}
-}
-
-// writeSegmentFrame writes one framed segment payload.
-func writeSegmentFrame(w io.Writer, payload []byte) error {
-	var hdr [20]byte
-	copy(hdr[:8], SegmentMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], SegmentVersion)
-	binary.LittleEndian.PutUint64(hdr[12:20], uint64(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.Checksum(payload, castagnoli))
-	_, err := w.Write(sum[:])
-	return err
 }
 
 // ReadSegment decodes one segment file, verifying magic, version,
 // length, and checksum, and returns its records in kept order.
 func ReadSegment(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var hdr [20]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrBadSegment, err)
-	}
-	if string(hdr[:8]) != SegmentMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadSegment, hdr[:8])
-	}
-	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != SegmentVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrBadSegment, v)
-	}
-	size := binary.LittleEndian.Uint64(hdr[12:20])
-	if size > maxSegmentPayload {
-		return nil, fmt.Errorf("%w: declared payload of %d bytes", ErrBadSegment, size)
-	}
-	payload, err := readSegmentPayload(f, size)
-	if err != nil {
-		return nil, err
-	}
-	var sum [4]byte
-	if _, err := io.ReadFull(f, sum[:]); err != nil {
-		return nil, fmt.Errorf("%w: checksum: %v", ErrBadSegment, err)
-	}
-	if binary.LittleEndian.Uint32(sum[:]) != crc32.Checksum(payload, castagnoli) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSegment)
-	}
-	var out []Record
-	sc := bufio.NewScanner(bytes.NewReader(payload))
-	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	for sc.Scan() {
-		var r Record
-		if json.Unmarshal(sc.Bytes(), &r) == nil {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
-// readSegmentPayload reads a declared-size payload growing the buffer
-// geometrically as bytes actually arrive, so a forged multi-GiB length
-// field in a tiny file is rejected after a short read instead of
-// committing the declared allocation up front.
-func readSegmentPayload(r io.Reader, size uint64) ([]byte, error) {
-	const initialCap = 64 << 10
-	payload := make([]byte, min(size, initialCap))
-	read := 0
-	for {
-		n, err := io.ReadFull(r, payload[read:])
-		read += n
-		if err != nil {
-			return nil, fmt.Errorf("%w: payload: read %d of %d bytes: %v", ErrBadSegment, read, size, err)
-		}
-		if uint64(len(payload)) == size {
-			return payload, nil
-		}
-		grown := make([]byte, min(size, 2*uint64(len(payload))))
-		copy(grown, payload)
-		payload = grown
-	}
+	return seglog.ReadSegment[Record](path, SegmentMagic)
 }

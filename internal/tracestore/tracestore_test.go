@@ -1,12 +1,15 @@
 package tracestore
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"uicwelfare/internal/seglog"
 	"uicwelfare/internal/telemetry"
 )
 
@@ -61,20 +64,8 @@ func TestTailSamplingKeepReasons(t *testing.T) {
 	}
 }
 
-func TestSampleAllOverridesRate(t *testing.T) {
-	s := memStore(t, Options{SampleAll: true}) // zero SampleRate would keep none
-	for i := 0; i < 20; i++ {
-		if !s.Add(Record{TraceID: fmt.Sprintf("t%d", i)}) {
-			t.Fatal("SampleAll store dropped a fast trace")
-		}
-	}
-	if got := s.Stats().SampledOut; got != 0 {
-		t.Errorf("sampled_out = %d, want 0", got)
-	}
-}
-
 func TestRingEvictionAndCursorPagination(t *testing.T) {
-	s := memStore(t, Options{RingSize: 8, SampleAll: true})
+	s := memStore(t, Options{RingSize: 8, SampleRate: 1})
 	for i := 1; i <= 12; i++ {
 		s.Add(Record{TraceID: fmt.Sprintf("t%d", i), Route: "allocate"})
 	}
@@ -105,7 +96,7 @@ func TestRingEvictionAndCursorPagination(t *testing.T) {
 }
 
 func TestQueryFilters(t *testing.T) {
-	s := memStore(t, Options{SampleAll: true})
+	s := memStore(t, Options{SampleRate: 1})
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	s.Add(Record{TraceID: "a", Route: "allocate", Graph: "g1", Start: base, DurationMS: 5})
 	s.Add(Record{TraceID: "b", Route: "warm", Graph: "g1", Start: base.Add(time.Minute), DurationMS: 80})
@@ -141,7 +132,7 @@ func TestQueryFilters(t *testing.T) {
 func TestSpillRoundtripAndDiskGet(t *testing.T) {
 	dir := t.TempDir()
 	s, err := New(Options{
-		Node: "b0", RingSize: 4, SampleAll: true,
+		Node: "b0", RingSize: 4, SampleRate: 1,
 		Dir: dir, FlushInterval: 10 * time.Millisecond,
 	})
 	if err != nil {
@@ -203,7 +194,7 @@ func TestSpillRoundtripAndDiskGet(t *testing.T) {
 func TestSegmentByteBudget(t *testing.T) {
 	dir := t.TempDir()
 	s, err := New(Options{
-		SampleAll: true, Dir: dir,
+		SampleRate: 1, Dir: dir,
 		SegmentBytes: 512, MaxBytes: 2048,
 		FlushInterval: time.Hour, // only size-triggered seals
 	})
@@ -251,4 +242,42 @@ func TestNilStoreIsSafe(t *testing.T) {
 		t.Error("nil store reported state")
 	}
 	s.Close()
+}
+
+// TestDiskGetReadsLegacySegmentNames leaves a segment under the older
+// traces-<first seq> name, as an earlier build wrote it, then spills a
+// newer copy of one of its traces: the legacy segment survives the new
+// run's seal and still answers Get, and the newer copy wins.
+func TestDiskGetReadsLegacySegmentNames(t *testing.T) {
+	dir := t.TempDir()
+	var payload bytes.Buffer
+	for _, r := range []Record{{Seq: 1, TraceID: "old", Route: "legacy"}, {Seq: 2, TraceID: "both", Route: "legacy"}} {
+		line, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload.Write(append(line, '\n'))
+	}
+	var frame bytes.Buffer
+	if err := seglog.WriteFrame(&frame, SegmentMagic, seglog.SegmentVersion, payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "traces-0000000000000001"+SegmentExt), frame.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(Options{RingSize: 1, SampleRate: 1, Dir: dir, FlushInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Add(Record{TraceID: "both", Route: "new"})
+	s.Add(Record{TraceID: "pad"}) // pushes "both" out of the one-slot ring
+	s.Close()
+
+	if rec, ok := s.Get("old"); !ok || rec.Route != "legacy" {
+		t.Errorf("legacy-named segment: Get(old) = %+v, %v", rec, ok)
+	}
+	if rec, ok := s.Get("both"); !ok || rec.Route != "new" {
+		t.Errorf("Get(both) = %+v, %v; want the newer spill", rec, ok)
+	}
 }
